@@ -22,6 +22,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"uncertaingraph/internal/mathx"
@@ -96,27 +97,6 @@ func (m UncertainModel) VertexX(v int) Dist {
 	return m.G.DegreeDist(v, m.ExactThreshold)
 }
 
-// VertexXBuf implements BufferedModel: the incident probabilities are
-// staged through the scan's per-chunk buffer instead of a per-vertex
-// allocation.
-func (m UncertainModel) VertexXBuf(v int, buf []float64) (Dist, []float64) {
-	d, buf := m.G.DegreeDistBuf(v, m.ExactThreshold, buf)
-	return d, buf
-}
-
-// BufferedModel is an optional Model extension: models whose X columns
-// can be computed through a caller-owned scratch buffer implement it,
-// and the entropy scan then streams each chunk's vertices through one
-// buffer instead of allocating per vertex. Implementations must not
-// retain buf; they return the (possibly grown) buffer for the next
-// call.
-type BufferedModel interface {
-	VertexXBuf(v int, buf []float64) (Dist, []float64)
-}
-
-// ColumnEntropies computes H(Y_ω) for every requested property value ω,
-// streaming the X columns of all vertices through entropy accumulators.
-// The vertex scan is parallelized across CPUs.
 // Preparer is an optional Model extension: models whose X columns are
 // cheaper to precompute in bulk (the baseline degree-transition models)
 // implement it, and ColumnEntropies invokes it before the parallel scan.
@@ -133,13 +113,31 @@ type Preparer interface {
 // bit-identical results for any number of workers.
 const scanChunk = 512
 
+// ColumnEntropies computes H(Y_ω) for every requested property value ω,
+// streaming the X columns of all vertices through entropy accumulators.
+// The vertex scan is parallelized across CPUs.
 func ColumnEntropies(m Model, omegas []int) map[int]float64 {
+	ents := columnEntropies(m, omegas)
+	out := make(map[int]float64, len(omegas))
+	for i, omega := range omegas {
+		out[omega] = ents[i]
+	}
+	return out
+}
+
+// columnEntropies is ColumnEntropies with the entropies returned in
+// omegas order. An UncertainModel is scanned by the concrete
+// Poisson-binomial kernel (uncertainChunk); every other Model through
+// its VertexX distributions. Both accumulate the same columns in the
+// same vertex, chunk and merge order, so they agree bit for bit.
+func columnEntropies(m Model, omegas []int) []float64 {
 	if prep, ok := m.(Preparer); ok {
 		prep.Prepare(omegas)
 	}
 	n := m.NumVertices()
+	out := make([]float64, len(omegas))
 	if len(omegas) == 0 || n == 0 {
-		return map[int]float64{}
+		return out
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if h, ok := m.(WorkerHinted); ok && h.ParallelWorkers() > 0 {
@@ -150,30 +148,26 @@ func ColumnEntropies(m Model, omegas []int) map[int]float64 {
 	if ab, ok := m.(Abortable); ok {
 		aborted = ab.Aborted
 	}
-	bm, buffered := m.(BufferedModel)
-	chunkAccs := make([][]mathx.EntropyAccumulator, numChunks)
-	scan := func(c int) {
-		lo := c * scanChunk
-		hi := lo + scanChunk
-		if hi > n {
-			hi = n
-		}
-		acc := make([]mathx.EntropyAccumulator, len(omegas))
-		var buf []float64
+	chunk := func(acc []mathx.EntropyAccumulator, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			var x Dist
-			if buffered {
-				x, buf = bm.VertexXBuf(v, buf)
-			} else {
-				x = m.VertexX(v)
-			}
+			x := m.VertexX(v)
 			for i, omega := range omegas {
 				acc[i].Add(x.Prob(omega))
 			}
 		}
-		chunkAccs[c] = acc
 	}
-	parallel.For(numChunks, workers, aborted, scan)
+	if um, ok := m.(UncertainModel); ok {
+		chunk = func(acc []mathx.EntropyAccumulator, lo, hi int) {
+			uncertainChunk(um, omegas, acc, lo, hi)
+		}
+	}
+	chunkAccs := make([][]mathx.EntropyAccumulator, numChunks)
+	parallel.For(numChunks, workers, aborted, func(c int) {
+		lo := c * scanChunk
+		acc := make([]mathx.EntropyAccumulator, len(omegas))
+		chunk(acc, lo, min(lo+scanChunk, n))
+		chunkAccs[c] = acc
+	})
 	// Merge in chunk order — the same summation tree every run. Chunks
 	// may be nil only after an abort, whose result is discarded anyway.
 	merged := make([]mathx.EntropyAccumulator, len(omegas))
@@ -185,36 +179,105 @@ func ColumnEntropies(m Model, omegas []int) map[int]float64 {
 			merged[i].Merge(acc[i])
 		}
 	}
-	out := make(map[int]float64, len(omegas))
-	for i, omega := range omegas {
-		out[omega] = merged[i].Entropy()
+	for i := range merged {
+		out[i] = merged[i].Entropy()
 	}
 	return out
+}
+
+// uncertainChunk accumulates the X columns of vertices [lo, hi) of an
+// uncertain graph: the degree law of v is the Poisson-binomial over its
+// L incident probabilities (Section 4), evaluated through per-chunk
+// buffers with no allocation per vertex. It adds exactly the values
+// Dist.Prob would:
+//
+//   - only columns 0 ≤ ω ≤ L are evaluated — Prob is 0 elsewhere, and
+//     adding 0 leaves an accumulator unchanged;
+//   - L ≤ threshold runs the Lemma 1 DP into one per-chunk buffer;
+//   - otherwise the CLT mass of [ω-½, ω+½] is a difference of two erfc
+//     terms, and when ω follows the previous evaluated column the lower
+//     term is that column's upper term (mathx.NormalErfc), halving the
+//     erfc calls for sorted omegas.
+//
+// omegas may come in any order, with repeats and out-of-range values;
+// only when the chunk has checked that they ascend does a column
+// beyond L end the vertex's loop.
+func uncertainChunk(m UncertainModel, omegas []int, acc []mathx.EntropyAccumulator, lo, hi int) {
+	threshold := pbinom.ResolveThreshold(m.ExactThreshold)
+	ascending := slices.IsSorted(omegas)
+	var probs, table []float64
+	for v := lo; v < hi; v++ {
+		probs = m.G.AppendIncidentProbs(probs[:0], v)
+		L := len(probs)
+		if L <= threshold {
+			table = pbinom.ExactInto(table, probs)
+			for i, omega := range omegas {
+				if omega > L {
+					if ascending {
+						break
+					}
+					continue
+				}
+				if omega >= 0 {
+					acc[i].Add(table[omega])
+				}
+			}
+			continue
+		}
+		d := pbinom.Approx(probs)
+		mu, sigma := d.Mean(), d.Sigma()
+		if sigma == 0 {
+			// Every probability is 0 or 1: the degree is certain.
+			for i, omega := range omegas {
+				acc[i].Add(d.Prob(omega))
+			}
+			continue
+		}
+		prev, upper := -1, 0.0 // last evaluated column and its upper erfc term
+		for i, omega := range omegas {
+			if omega > L {
+				if ascending {
+					break
+				}
+				continue
+			}
+			if omega < 0 {
+				continue
+			}
+			var lower float64
+			if omega == prev+1 && prev >= 0 {
+				lower = upper
+			} else {
+				lower = mathx.NormalErfc(float64(omega)-0.5, mu, sigma)
+			}
+			upper = mathx.NormalErfc(float64(omega)+0.5, mu, sigma)
+			prev = omega
+			acc[i].Add(0.5 * (lower - upper))
+		}
+	}
 }
 
 // DistinctValues returns the sorted distinct values in the property
 // assignment (e.g. the distinct original degrees) — exactly the columns
 // the (k, ε) check needs.
 func DistinctValues(values []int) []int {
-	seen := make(map[int]struct{}, len(values))
-	var out []int
-	for _, v := range values {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
+	if len(values) == 0 {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	out := slices.Clone(values)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // VertexEntropies returns, for each original vertex v (with property
 // values[v]), the entropy H(Y_{values[v]}) under the model.
 func VertexEntropies(m Model, values []int) []float64 {
-	cols := ColumnEntropies(m, DistinctValues(values))
+	omegas := DistinctValues(values)
+	ents := columnEntropies(m, omegas)
 	out := make([]float64, len(values))
 	for v, val := range values {
-		out[v] = cols[val]
+		i, _ := slices.BinarySearch(omegas, val)
+		out[v] = ents[i]
 	}
 	return out
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -102,25 +104,22 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, sigma float64, par
 
 	// runTrial is a pure function of its trial index: all randomness
 	// comes from the (seed, σ, trial) stream, so results are independent
-	// of scheduling. It bails out between stages — and per scan chunk —
-	// when the probe was cancelled.
-	runTrial := func(trial int) Attempt {
+	// of scheduling — the scratch only lends memory. It bails out
+	// between stages — and per scan chunk — when the probe was
+	// cancelled. A graph it builds and then rejects goes straight back
+	// to the scratch.
+	runTrial := func(trial int, s *trialScratch) Attempt {
 		if cancelled(ctx) {
 			return failed
 		}
 		rng := trialRng(params.Seed, sigma, trial)
-		ec, ok := selectCandidates(g, aliasQ, inH, targetEC, rng)
+		ec, ok := selectCandidates(g, aliasQ, inH, targetEC, rng, s)
 		if !ok {
 			return failed
 		}
-		pairs := assignProbabilities(ec, uniq, sigma, params, rng)
-		ug, err := uncertain.New(n, pairs)
-		if err != nil {
-			// Candidate construction guarantees validity; a failure here
-			// is a programming error worth surfacing loudly.
-			panic(err)
-		}
+		ug := uncertain.Assemble(n, assignProbabilities(ec, uniq, sigma, params, rng, s.takeColumns()))
 		if cancelled(ctx) {
+			s.recycle(ug)
 			return failed
 		}
 		// Line 20: fraction of vertices not k-obfuscated.
@@ -131,14 +130,13 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, sigma float64, par
 			Ctx:            ctx,
 		}
 		epsPrime := adversary.NotObfuscatedFraction(model, degrees, params.K)
-		if cancelled(ctx) {
-			// The scan aborted early; its ε' is not the pure probe value.
-			return failed
-		}
-		// Line 21: the trial succeeds when ε' stays within the budget.
-		if epsPrime <= params.Eps {
+		// Line 21: the trial succeeds when ε' stays within the budget —
+		// unless the scan was cancelled and aborted early, leaving an ε'
+		// that is not the pure probe value.
+		if !cancelled(ctx) && epsPrime <= params.Eps {
 			return Attempt{EpsTilde: epsPrime, G: ug}
 		}
+		s.recycle(ug)
 		return failed
 	}
 
@@ -146,11 +144,15 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, sigma float64, par
 	// the lowest ε̃, ties broken by the lower trial index — the attempt
 	// the sequential best-of-t loop (strict `<` against the running
 	// best) keeps. Folding into a running best as trials finish, rather
-	// than collecting all t attempts, lets loser graphs (each ~c·|E|
-	// pairs) be reclaimed while later trials still run.
+	// than collecting all t attempts, lets each loser graph (~c·|E|
+	// pairs) hand its buffers to a later trial on the same worker.
 	win := winner{att: failed, idx: params.Trials}
-	_ = parallel.ForCtx(ctx, params.Trials, trialWorkers, func(i int) {
-		win.offer(runTrial(i), i)
+	scratch := make([]*trialScratch, trialWorkers)
+	_ = parallel.ForWorkers(ctx, params.Trials, trialWorkers, func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = new(trialScratch)
+		}
+		scratch[w].recycle(win.offer(runTrial(i, scratch[w]), i))
 	})
 	return win.att, params.Trials
 }
@@ -163,16 +165,22 @@ type winner struct {
 	idx int
 }
 
-func (w *winner) offer(att Attempt, trial int) {
+// offer folds one trial outcome in and returns the graph that lost —
+// the previous best when att displaces it, att's own otherwise — so the
+// caller can reuse its buffers; nil when nothing was discarded.
+func (w *winner) offer(att Attempt, trial int) *uncertain.Graph {
 	if att.Failed() {
-		return
+		return nil
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if att.EpsTilde < w.att.EpsTilde ||
 		(att.EpsTilde == w.att.EpsTilde && trial < w.idx) {
+		lost := w.att.G
 		w.att, w.idx = att, trial
+		return lost
 	}
-	w.mu.Unlock()
+	return att.G
 }
 
 // cancelled reports whether the probe's context has been cancelled; a
@@ -181,22 +189,99 @@ func cancelled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// candidate is one pair of E_C, flagged by whether it is an original edge.
+// candidate is one pair of E_C, flagged by whether it is an original
+// edge, with the pair-table slot that maps it back to its position.
 type candidate struct {
 	u, v   int32
+	slot   int32
 	isEdge bool
+}
+
+// trialScratch is the working memory one worker lends its successive
+// trials: the E_C list, its pair table, and the column buffers of the
+// next uncertain graph — free ones only, taken back from graphs that
+// were rejected or lost the best-of-t choice. A probe thus allocates
+// these once per worker rather than once per trial.
+type trialScratch struct {
+	ec    []candidate
+	table pairTable
+	cols  uncertain.Columns
+}
+
+// takeColumns hands the free column buffers to a graph under
+// construction; the graph owns them until recycle returns them.
+func (s *trialScratch) takeColumns() uncertain.Columns {
+	cols := s.cols
+	s.cols = uncertain.Columns{}
+	return cols
+}
+
+// recycle takes back the buffers of a graph nobody will read again; a
+// nil graph is a no-op.
+func (s *trialScratch) recycle(g *uncertain.Graph) {
+	if g != nil {
+		s.cols = g.Columns()
+	}
+}
+
+// pairTable is an open-addressing (linear probing) hash table from a
+// pair's graph.PairKey to its position in E_C. It is filled with the
+// original edges E first; an original edge removed from E_C keeps its
+// slot as a tombstone at position -1, and an added non-edge is never
+// removed. One probe per drawn pair therefore answers both questions of
+// lines 9-11: an empty slot is a non-edge not in E_C, a tombstone an
+// original edge already removed, and a live slot a pair in E_C whose
+// candidate says whether it is an original edge.
+type pairTable struct {
+	keys  []int64 // PairKey+1 of the slot's pair; 0 marks an empty slot
+	pos   []int32 // the pair's position in E_C, or -1
+	shift uint    // 64 - log2(len(keys)), for Fibonacci hashing
+}
+
+// reset empties the table with room for entries pairs at load <= 3/4.
+func (t *pairTable) reset(entries int) {
+	size := 16
+	for 3*size < 4*entries {
+		size <<= 1
+	}
+	if cap(t.keys) >= size {
+		t.keys, t.pos = t.keys[:size], t.pos[:size]
+		clear(t.keys)
+	} else {
+		t.keys, t.pos = make([]int64, size), make([]int32, size)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// slot returns the slot holding key, or the empty slot it would take.
+func (t *pairTable) slot(key int64) int {
+	k := key + 1
+	mask := len(t.keys) - 1
+	for i := int((uint64(k) * 0x9E3779B97F4A7C15) >> t.shift); ; i = (i + 1) & mask {
+		if t.keys[i] == k || t.keys[i] == 0 {
+			return i
+		}
+	}
 }
 
 // selectCandidates implements lines 6-12 of Algorithm 2: E_C starts as E;
 // pairs drawn from Q×Q are removed from E_C when they are original edges
-// and added when they are non-edges, until |E_C| = target.
-func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, target int, rng *rand.Rand) ([]candidate, bool) {
+// and added when they are non-edges, until |E_C| = target. A removal
+// moves the last candidate into the freed position. The returned list
+// lives in s and is valid until s's next trial.
+func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH []bool, target int, rng *rand.Rand, s *trialScratch) ([]candidate, bool) {
 	n := g.NumVertices()
-	ec := make([]candidate, 0, target+16)
-	index := make(map[int64]int32, target+16)
+	ec := slices.Grow(s.ec[:0], target+16)
+	t := &s.table
+	// |E_C| never exceeds target, so at most target-|E| non-edges are
+	// added beyond those that replace removed edges: |E|+target bounds
+	// the entries.
+	t.reset(g.NumEdges() + target)
 	g.ForEachEdge(func(u, v int) {
-		index[graph.PairKey(u, v, n)] = int32(len(ec))
-		ec = append(ec, candidate{u: int32(u), v: int32(v), isEdge: true})
+		key := graph.PairKey(u, v, n)
+		i := t.slot(key)
+		t.keys[i], t.pos[i] = key+1, int32(len(ec))
+		ec = append(ec, candidate{u: int32(u), v: int32(v), slot: int32(i), isEdge: true})
 	})
 	// Give up after a generous number of draws; with c a small constant
 	// and |E| << |V2| the loop normally ends after ~(c-1)|E| additions.
@@ -211,28 +296,22 @@ func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, tar
 			continue
 		}
 		key := graph.PairKey(u, v, n)
-		if g.HasEdge(u, v) {
-			// Line 10: remove the original edge from E_C if still there.
-			if pos, ok := index[key]; ok {
-				last := int32(len(ec) - 1)
-				moved := ec[last]
-				ec[pos] = moved
-				index[graph.PairKey(int(moved.u), int(moved.v), n)] = pos
-				ec = ec[:last]
-				delete(index, key)
-			}
-		} else {
-			// Line 11: add the non-edge if new.
-			if _, ok := index[key]; !ok {
-				index[key] = int32(len(ec))
-				uu, vv := u, v
-				if uu > vv {
-					uu, vv = vv, uu
-				}
-				ec = append(ec, candidate{u: int32(uu), v: int32(vv), isEdge: false})
-			}
+		i := t.slot(key)
+		if t.keys[i] == 0 {
+			// Line 11: add the non-edge.
+			t.keys[i], t.pos[i] = key+1, int32(len(ec))
+			ec = append(ec, candidate{u: int32(min(u, v)), v: int32(max(u, v)), slot: int32(i)})
+		} else if pos := t.pos[i]; pos >= 0 && ec[pos].isEdge {
+			// Line 10: remove the original edge still in E_C.
+			last := len(ec) - 1
+			moved := ec[last]
+			ec[pos] = moved
+			t.pos[moved.slot] = pos
+			ec = ec[:last]
+			t.pos[i] = -1
 		}
 	}
+	s.ec = ec
 	return ec, true
 }
 
@@ -240,40 +319,46 @@ func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, tar
 // proportion to pair uniqueness (Eq. 7), draw perturbations r_e from
 // R_σ(e) (or uniformly, for the q white-noise fraction), and convert
 // them to edge probabilities. rng is the calling trial's private stream.
-func assignProbabilities(ec []candidate, uniq []float64, sigma float64, params Params, rng *rand.Rand) []uncertain.Pair {
-	// U_σ(e) = (U_σ(P(u)) + U_σ(P(v))) / 2; Eq. 7 scales so the mean of
-	// σ(e) over E_C equals σ.
-	pairUniq := make([]float64, len(ec))
+// The pairs are written into the columns of cols (reusing their
+// capacity), ready for uncertain.Assemble.
+func assignProbabilities(ec []candidate, uniq []float64, sigma float64, params Params, rng *rand.Rand, cols uncertain.Columns) uncertain.Columns {
+	m := len(ec)
+	pairU := slices.Grow(cols.PairU[:0], m)[:m]
+	pairV := slices.Grow(cols.PairV[:0], m)[:m]
+	pairP := slices.Grow(cols.PairP[:0], m)[:m]
+	// U_σ(e) = (U_σ(P(u)) + U_σ(P(v))) / 2, staged in pairP; Eq. 7
+	// scales so the mean of σ(e) over E_C equals σ.
 	var total float64
 	for i, c := range ec {
-		pairUniq[i] = (uniq[c.u] + uniq[c.v]) / 2
-		total += pairUniq[i]
+		pairU[i], pairV[i] = c.u, c.v
+		pairP[i] = (uniq[c.u] + uniq[c.v]) / 2
+		total += pairP[i]
 	}
-	pairs := make([]uncertain.Pair, len(ec))
 	for i, c := range ec {
 		sigmaE := 0.0
 		if total > 0 {
-			sigmaE = sigma * float64(len(ec)) * pairUniq[i] / total
+			sigmaE = sigma * float64(m) * pairP[i] / total
 		}
 		var re float64
 		if params.Q > 0 && rng.Float64() < params.Q {
 			re = rng.Float64()
 		} else {
-			re = mathx.NewTruncNormal(sigmaE).Sample(rng)
+			re = mathx.SampleTruncNormal(sigmaE, rng)
 		}
 		p := re
 		if c.isEdge {
 			p = 1 - re
 		}
-		pairs[i] = uncertain.Pair{U: int(c.u), V: int(c.v), P: p}
+		pairP[i] = p
 	}
-	return pairs
+	cols.PairU, cols.PairV, cols.PairP = pairU, pairV, pairP
+	return cols
 }
 
-// topUniqueSet returns the indices of the count largest uniqueness
+// topUniqueSet marks the count vertices with the largest uniqueness
 // scores (ties broken by lower index, making runs reproducible).
-func topUniqueSet(uniq []float64, count int) map[int]bool {
-	set := make(map[int]bool, count)
+func topUniqueSet(uniq []float64, count int) []bool {
+	set := make([]bool, len(uniq))
 	if count <= 0 {
 		return set
 	}

@@ -18,7 +18,7 @@ func TestSelectCandidatesExactTarget(t *testing.T) {
 		t.Fatal("alias construction failed")
 	}
 	for _, target := range []int{g.NumEdges(), 2 * g.NumEdges(), 3 * g.NumEdges()} {
-		ec, ok := selectCandidates(g, alias, map[int]bool{}, target, randx.New(32))
+		ec, ok := selectCandidates(g, alias, make([]bool, g.NumVertices()), target, randx.New(32), new(trialScratch))
 		if !ok {
 			t.Fatalf("selection failed for target %d", target)
 		}

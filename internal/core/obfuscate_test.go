@@ -169,14 +169,23 @@ func TestObfuscateDeterministicForSeed(t *testing.T) {
 
 func TestTopUniqueSet(t *testing.T) {
 	uniq := []float64{0.1, 5, 3, 5, 0.2}
+	count := func(set []bool) int {
+		c := 0
+		for _, in := range set {
+			if in {
+				c++
+			}
+		}
+		return c
+	}
 	set := topUniqueSet(uniq, 2)
-	if !set[1] || !set[3] || len(set) != 2 {
+	if len(set) != len(uniq) || !set[1] || !set[3] || count(set) != 2 {
 		t.Errorf("top-2 = %v, want {1,3}", set)
 	}
-	if len(topUniqueSet(uniq, 0)) != 0 {
+	if count(topUniqueSet(uniq, 0)) != 0 {
 		t.Error("count 0 should give empty set")
 	}
-	if len(topUniqueSet(uniq, 10)) != 5 {
+	if count(topUniqueSet(uniq, 10)) != 5 {
 		t.Error("count > len should cap")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"uncertaingraph/internal/graph"
 )
@@ -22,7 +23,14 @@ import (
 // the paper's experiments; P2 refines the uniqueness scores that decide
 // where the uncertainty budget is spent.
 type NeighborhoodDegreeProperty struct {
-	dict [][]int
+	// mu serializes Values: σ probes running concurrently all ask for
+	// the values, and the interning must not race with itself. The
+	// index persists across calls, so repeated calls on the same graph
+	// return the same ids and leave dict unchanged — which is what lets
+	// Distance read dict without the lock.
+	mu    sync.Mutex
+	index map[string]int
+	dict  [][]int
 }
 
 // NewNeighborhoodDegreeProperty returns an empty-dictionary P2 property.
@@ -38,8 +46,12 @@ func (p *NeighborhoodDegreeProperty) Name() string { return "neighborhood-degree
 func (p *NeighborhoodDegreeProperty) Values(g *graph.Graph) []int {
 	n := g.NumVertices()
 	degs := g.Degrees()
-	index := make(map[string]int, n)
 	out := make([]int, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.index == nil {
+		p.index = make(map[string]int, n)
+	}
 	for v := 0; v < n; v++ {
 		sig := make([]int, 0, 1+degs[v])
 		sig = append(sig, degs[v])
@@ -48,10 +60,10 @@ func (p *NeighborhoodDegreeProperty) Values(g *graph.Graph) []int {
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(sig[1:])))
 		key := sigKey(sig)
-		id, ok := index[key]
+		id, ok := p.index[key]
 		if !ok {
 			id = len(p.dict)
-			index[key] = id
+			p.index[key] = id
 			p.dict = append(p.dict, sig)
 		}
 		out[v] = id

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"uncertaingraph/internal/adversary"
@@ -89,5 +90,26 @@ func TestObfuscateWithP2Property(t *testing.T) {
 	model := adversary.UncertainModel{G: res.G}
 	if !adversary.IsKEpsObfuscation(model, g.Degrees(), 5, 0.12) {
 		t.Error("P2-scored obfuscation fails degree verification")
+	}
+}
+
+// TestInterningPropertiesStableAcrossCalls pins that the interning
+// properties return the same ids on every call for one graph — the
+// σ probes each ask, concurrently when Workers > 1 — so their
+// dictionaries stop growing after the first call.
+func TestInterningPropertiesStableAcrossCalls(t *testing.T) {
+	g := testGraph(22, 250)
+	p2, p3 := NewNeighborhoodDegreeProperty(), NewRadiusOneProperty()
+	for _, p := range []Property{p2, p3} {
+		first := p.Values(g)
+		size := len(p2.dict) + len(p3.dict)
+		for i := 0; i < 3; i++ {
+			if again := p.Values(g); !slices.Equal(again, first) {
+				t.Fatalf("%s: call %d returned different ids", p.Name(), i+2)
+			}
+		}
+		if got := len(p2.dict) + len(p3.dict); got != size {
+			t.Errorf("%s: dictionary grew from %d to %d on repeated calls", p.Name(), size, got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"uncertaingraph/internal/graph"
 )
@@ -22,7 +23,14 @@ import (
 // with P2, the property drives uniqueness scoring; (k, ε) verification
 // remains degree-based as in the paper's experiments.
 type RadiusOneProperty struct {
-	dict []r1Signature
+	// mu serializes Values: σ probes running concurrently all ask for
+	// the values, and the interning must not race with itself. The
+	// index persists across calls, so repeated calls on the same graph
+	// return the same ids and leave dict unchanged — which is what lets
+	// Distance read dict without the lock.
+	mu    sync.Mutex
+	index map[string]int
+	dict  []r1Signature
 }
 
 type r1Signature struct {
@@ -44,14 +52,18 @@ func (p *RadiusOneProperty) Name() string { return "radius-one-subgraph" }
 func (p *RadiusOneProperty) Values(g *graph.Graph) []int {
 	n := g.NumVertices()
 	out := make([]int, n)
-	index := make(map[string]int, n)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.index == nil {
+		p.index = make(map[string]int, n)
+	}
 	for v := 0; v < n; v++ {
 		sig := radiusOneSignature(g, v)
 		key := r1Key(sig)
-		id, ok := index[key]
+		id, ok := p.index[key]
 		if !ok {
 			id = len(p.dict)
-			index[key] = id
+			p.index[key] = id
 			p.dict = append(p.dict, sig)
 		}
 		out[v] = id

@@ -43,7 +43,15 @@ func NormalIntervalMass(lo, hi, mu, sigma float64) float64 {
 	}
 	// Difference of complementary error functions is more stable in the
 	// tails than a difference of CDFs near 1.
-	a := (lo - mu) / (sigma * math.Sqrt2)
-	b := (hi - mu) / (sigma * math.Sqrt2)
-	return 0.5 * (math.Erfc(a) - math.Erfc(b))
+	return 0.5 * (NormalErfc(lo, mu, sigma) - NormalErfc(hi, mu, sigma))
+}
+
+// NormalErfc returns erfc((x-mu)/(sigma*sqrt2)) = 2·P(X > x) for
+// X ~ N(mu, sigma^2): one bound's term of NormalIntervalMass. Scans
+// that evaluate the masses of consecutive unit intervals reuse an
+// interval's upper term as the next one's lower term, which is exact
+// because float64(k)+0.5 == float64(k+1)-0.5 for every integer k below
+// 2^52.
+func NormalErfc(x, mu, sigma float64) float64 {
+	return math.Erfc((x - mu) / (sigma * math.Sqrt2))
 }

@@ -187,3 +187,43 @@ func TestErfinvRoundTrip(t *testing.T) {
 		t.Error("erfinv at +-1 should be infinite")
 	}
 }
+
+// TestSampleTruncNormalMatchesTruncNormalSample pins the per-pair
+// sampler to the TruncNormal method it shortcuts: the same values from
+// the same draws, on both sides of the rejection/inverse-CDF switch at
+// sigma = 2, with the RNG left in the same state.
+func TestSampleTruncNormalMatchesTruncNormalSample(t *testing.T) {
+	for _, s := range []float64{0, -1, 1e-6, 1, 2, 2.5, 1e6, math.NaN()} {
+		a := rand.New(rand.NewSource(11))
+		b := rand.New(rand.NewSource(11))
+		tn := NewTruncNormal(s)
+		for i := 0; i < 2000; i++ {
+			got, want := SampleTruncNormal(s, a), tn.Sample(b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sigma=%v draw %d: %v, TruncNormal.Sample %v", s, i, got, want)
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("sigma=%v: RNG streams diverge", s)
+		}
+	}
+}
+
+// TestNormalIntervalMassChainsErfc pins the identity the adversary's
+// CLT scan relies on: the upper erfc term of [k-½, k+½] is bit-equal to
+// the lower term of [k+½, k+3/2], so chaining the terms reproduces
+// NormalIntervalMass exactly.
+func TestNormalIntervalMassChainsErfc(t *testing.T) {
+	for _, c := range []struct{ mu, sigma float64 }{{12.3, 2.1}, {40.75, 5.5}, {0.2, 0.01}} {
+		upper := NormalErfc(-0.5, c.mu, c.sigma)
+		for k := 0; k < 80; k++ {
+			lower := upper
+			upper = NormalErfc(float64(k)+0.5, c.mu, c.sigma)
+			got := 0.5 * (lower - upper)
+			want := NormalIntervalMass(float64(k)-0.5, float64(k)+0.5, c.mu, c.sigma)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("mu=%v sigma=%v k=%d: chained %v, NormalIntervalMass %v", c.mu, c.sigma, k, got, want)
+			}
+		}
+	}
+}

@@ -80,16 +80,38 @@ func (t TruncNormal) Sample(rng *rand.Rand) float64 {
 		return 0
 	}
 	if t.Sigma <= 2 {
-		for {
-			r := math.Abs(rng.NormFloat64() * t.Sigma)
-			if r <= 1 {
-				return r
-			}
-		}
+		return sampleHalfNormalBelow1(t.Sigma, rng)
 	}
 	// Inverse CDF: r = sigma*sqrt2 * erfinv(u * mass).
 	u := rng.Float64()
 	return t.Sigma * math.Sqrt2 * erfinv(u*t.mass)
+}
+
+// SampleTruncNormal draws one value from R_sigma. It consumes the same
+// RNG draws and returns the same value as NewTruncNormal(sigma).Sample
+// but skips the normalizing constant (an erf evaluation) on the
+// rejection path, which never reads it: the form for callers drawing
+// once per distinct sigma, like the per-pair perturbations of
+// Algorithm 2.
+func SampleTruncNormal(sigma float64, rng *rand.Rand) float64 {
+	if sigma <= 0 {
+		return 0
+	}
+	if sigma <= 2 {
+		return sampleHalfNormalBelow1(sigma, rng)
+	}
+	return NewTruncNormal(sigma).Sample(rng)
+}
+
+// sampleHalfNormalBelow1 draws |N(0, sigma^2)| conditioned on <= 1 by
+// rejection.
+func sampleHalfNormalBelow1(sigma float64, rng *rand.Rand) float64 {
+	for {
+		r := math.Abs(rng.NormFloat64() * sigma)
+		if r <= 1 {
+			return r
+		}
+	}
 }
 
 // erfinv computes the inverse error function on (-1, 1) using the

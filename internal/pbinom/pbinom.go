@@ -14,6 +14,7 @@ package pbinom
 
 import (
 	"math"
+	"slices"
 
 	"uncertaingraph/internal/mathx"
 )
@@ -35,7 +36,17 @@ type Dist struct {
 // Exact computes the full distribution by the Lemma 1 dynamic program in
 // O(len(probs)^2) time.
 func Exact(probs []float64) Dist {
-	dist := make([]float64, len(probs)+1)
+	mu, sigma2 := meanVar(probs)
+	return Dist{exact: ExactInto(nil, probs), mu: mu, sigma: sqrt(sigma2), n: len(probs)}
+}
+
+// ExactInto runs the Lemma 1 dynamic program into buf, grown when its
+// capacity is short, and returns the table: table[k] = P(X = k) for
+// k = 0..len(probs). It is the allocation-free core of Exact for scans
+// that stream many vertices through one buffer.
+func ExactInto(buf, probs []float64) []float64 {
+	dist := slices.Grow(buf[:0], len(probs)+1)[:len(probs)+1]
+	clear(dist)
 	dist[0] = 1
 	// After processing l terms, dist[0..l] is the law of the partial sum.
 	for l, p := range probs {
@@ -46,8 +57,7 @@ func Exact(probs []float64) Dist {
 		}
 		dist[0] *= 1 - p
 	}
-	mu, sigma2 := meanVar(probs)
-	return Dist{exact: dist, mu: mu, sigma: sqrt(sigma2), n: len(probs)}
+	return dist
 }
 
 // Approx builds the normal approximation of the distribution without
@@ -60,13 +70,19 @@ func Approx(probs []float64) Dist {
 // New picks the representation adaptively: exact DP up to threshold
 // terms (0 means DefaultExactThreshold), normal approximation beyond.
 func New(probs []float64, threshold int) Dist {
-	if threshold <= 0 {
-		threshold = DefaultExactThreshold
-	}
-	if len(probs) <= threshold {
+	if len(probs) <= ResolveThreshold(threshold) {
 		return Exact(probs)
 	}
 	return Approx(probs)
+}
+
+// ResolveThreshold returns the exact-DP threshold New applies: the
+// given value, or DefaultExactThreshold for threshold <= 0.
+func ResolveThreshold(threshold int) int {
+	if threshold <= 0 {
+		return DefaultExactThreshold
+	}
+	return threshold
 }
 
 // Prob returns P(X = k).

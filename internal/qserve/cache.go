@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"strings"
 	"sync"
 )
@@ -49,6 +50,7 @@ func resultCacheKey(name string, gen uint64, worlds int, seed int64, tol float64
 // holds a reference, and when the last one detaches before completion
 // the flight cancels — nobody is left to read the answer.
 type flight struct {
+	key    string
 	ctx    context.Context
 	cancel context.CancelFunc
 	refs   int // attached requests; guarded by resultCache.mu
@@ -104,6 +106,11 @@ type resultCache struct {
 	flights map[string]*flight
 
 	hits, misses, evictions, coalesced, computations uint64
+
+	// onAbort, when set (by tests), runs at the start of abort: the
+	// seam between the last requester detaching and the cancelled
+	// computation winding down.
+	onAbort func()
 }
 
 func newResultCache(budget int64) *resultCache {
@@ -136,7 +143,7 @@ func (c *resultCache) lookup(key string) (body []byte, f *flight, leader bool) {
 		return nil, f, false
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f = &flight{ctx: ctx, cancel: cancel, refs: 1, ready: make(chan struct{})}
+	f = &flight{key: key, ctx: ctx, cancel: cancel, refs: 1, ready: make(chan struct{})}
 	c.flights[key] = f
 	return nil, f, true
 }
@@ -144,14 +151,28 @@ func (c *resultCache) lookup(key string) (body []byte, f *flight, leader bool) {
 // detach drops one request's reference on a flight. When the last
 // reference goes before the flight settles, the computation is
 // cancelled — its context only ever cancels through here, so a flight
-// seeing ctx.Err() != nil knows every requester is gone.
+// seeing ctx.Err() != nil knows every requester is gone. The flight is
+// unregistered under the same lock that drops that reference, so an
+// identical request arriving later leads a fresh flight instead of
+// joining one that is winding down.
 func (c *resultCache) detach(f *flight) {
 	c.mu.Lock()
 	f.refs--
 	abandoned := f.refs == 0 && !f.settled()
+	if abandoned {
+		c.unregisterLocked(f)
+	}
 	c.mu.Unlock()
 	if abandoned {
 		f.cancel()
+	}
+}
+
+// unregisterLocked removes f from the flight table unless a newer
+// flight has already taken its key.
+func (c *resultCache) unregisterLocked(f *flight) {
+	if c.flights[f.key] == f {
+		delete(c.flights, f.key)
 	}
 }
 
@@ -173,24 +194,32 @@ func (c *resultCache) computed() {
 
 // settle publishes a flight's outcome to its waiters and, for complete
 // 200 answers, stores the rendered body under the owning graph's name.
-func (c *resultCache) settle(key, graph string, f *flight, status int, body []byte, store bool) {
+func (c *resultCache) settle(graph string, f *flight, status int, body []byte, store bool) {
 	c.mu.Lock()
 	f.status, f.body = status, body
 	close(f.ready)
-	delete(c.flights, key)
+	c.unregisterLocked(f)
 	if store {
-		c.putLocked(key, graph, body)
+		c.putLocked(f.key, graph, body)
 	}
 	c.mu.Unlock()
 	f.cancel() // release the context's resources; waiters already have the answer
 }
 
 // abort discards a flight whose computation was cancelled (every
-// requester detached): nothing to publish, nothing to store. The ready
-// channel stays open — no reader remains.
-func (c *resultCache) abort(key string, f *flight) {
+// requester detached): nothing to store. detach has already
+// unregistered it, so no request can still join; ready is closed with a
+// retryable 503 all the same, so nothing can ever block on an aborted
+// flight.
+func (c *resultCache) abort(f *flight) {
+	if c.onAbort != nil {
+		c.onAbort()
+	}
 	c.mu.Lock()
-	delete(c.flights, key)
+	c.unregisterLocked(f)
+	f.status = http.StatusServiceUnavailable
+	f.body = encodeJSON(errorResponse{Error: "computation abandoned by every requester; retry"})
+	close(f.ready)
 	c.mu.Unlock()
 }
 

@@ -252,3 +252,117 @@ func TestAbandonedFlightStopsAndGoroutinesSettle(t *testing.T) {
 		t.Errorf("post-cancel answer diverges from fresh recomputation:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestDetachUnregistersAbandonedFlight pins the flight table at the
+// detach/abort seam without any timing: the last detach unregisters
+// the flight at once, so an identical lookup leads a fresh one; the
+// stale flight's abort (or late settle) cannot drop that newer flight;
+// and abort closes ready with a retryable 503.
+func TestDetachUnregistersAbandonedFlight(t *testing.T) {
+	for _, late := range []string{"abort", "settle"} {
+		c := newResultCache(1 << 20)
+		_, f1, leader := c.lookup("k")
+		if !leader {
+			t.Fatal("first lookup did not lead")
+		}
+		c.detach(f1)
+		if f1.ctx.Err() == nil {
+			t.Fatal("last detach did not cancel the flight")
+		}
+		_, f2, leader := c.lookup("k")
+		if !leader || f2 == f1 {
+			t.Fatalf("%s: lookup after the last detach joined the abandoned flight", late)
+		}
+		if late == "abort" {
+			c.abort(f1)
+			select {
+			case <-f1.ready:
+			default:
+				t.Fatal("abort left ready open")
+			}
+			if f1.status != http.StatusServiceUnavailable {
+				t.Errorf("aborted flight status %d, want 503", f1.status)
+			}
+		} else {
+			c.settle("g", f1, http.StatusOK, []byte(`{}`), true)
+		}
+		if c.flights["k"] != f2 {
+			t.Fatalf("%s of the stale flight dropped the newer flight", late)
+		}
+		c.settle("g", f2, http.StatusOK, []byte(`{}`), true)
+		if len(c.flights) != 0 {
+			t.Fatalf("%s: settled flights stay registered", late)
+		}
+	}
+}
+
+// TestIdenticalRequestDuringAbortNeverJoinsDeadFlight is the
+// deterministic regression test for the abandoned-flight hang: the
+// abort of a cancelled flight is held open by the onAbort hook while
+// an identical request arrives. That request must compute its own
+// answer — before the fix it joined the dead flight and blocked until
+// its client gave up.
+func TestIdenticalRequestDuringAbortNeverJoinsDeadFlight(t *testing.T) {
+	const n = 1000
+	srv := &Server{Worlds: 400, Workers: 1, Seed: 3, ResultCacheBudget: DefaultResultCacheBudget}
+	if _, err := srv.PublishGraph("big", benchGraph(t, n), GraphConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	aborting, release := make(chan struct{}), make(chan struct{})
+	srv.cache.onAbort = func() {
+		close(aborting)
+		<-release
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/graphs/big/batch"
+	const body = `{"worlds":6000,"tolerance":0,"queries":[{"op":"reliability","s":0,"t":500}]}`
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitForStats(t, ts.URL, func(st ResultCacheStats) bool { return st.Computations >= 1 }, "the flight to start")
+	cancel()
+	<-done
+	select {
+	case <-aborting:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the cancelled flight never reached abort")
+	}
+
+	// The dead flight is parked inside abort. A bounded client turns the
+	// old hang into a failure instead of a stuck test.
+	client := &http.Client{Timeout: 60 * time.Second}
+	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		close(release)
+		t.Fatalf("identical request during abort: %v", err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	close(release)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("identical request during abort: status %d: %s", resp.StatusCode, got)
+	}
+	if st := cacheStatsOf(t, ts.URL); st.Computations != 2 || st.Coalesced != 0 {
+		t.Errorf("stats %+v: want a second, uncoalesced computation", st)
+	}
+	ref := &Server{Worlds: 400, Workers: 1, Seed: 3}
+	if _, err := ref.PublishGraph("big", benchGraph(t, n), GraphConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	tsRef := httptest.NewServer(ref.Handler())
+	t.Cleanup(tsRef.Close)
+	if _, want := postBody(t, tsRef.URL+"/graphs/big/batch", body); !bytes.Equal(got, want) {
+		t.Errorf("answer diverges from fresh recomputation:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -742,7 +742,7 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 		return
 	}
 	if leader {
-		go s.runFlight(key, name, info.gen, req, worlds, seed, tol, f)
+		go s.runFlight(name, info.gen, req, worlds, seed, tol, f)
 	}
 	select {
 	case <-f.ready:
@@ -757,14 +757,14 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 // detached from any single request, cancelled only when every attached
 // request has gone — and settles it for all waiters, storing complete
 // 200 bodies in the cache.
-func (s *Server) runFlight(key, name string, gen uint64, req *BatchRequest, worlds int, seed int64, tol float64, f *flight) {
+func (s *Server) runFlight(name string, gen uint64, req *BatchRequest, worlds int, seed int64, tol float64, f *flight) {
 	s.cache.computed()
 	status, body, abandoned := s.compute(f.ctx, name, gen, req, worlds, seed, tol)
 	if abandoned {
-		s.cache.abort(key, f)
+		s.cache.abort(f)
 		return
 	}
-	s.cache.settle(key, name, f, status, body, status == http.StatusOK)
+	s.cache.settle(name, f, status, body, status == http.StatusOK)
 }
 
 // compute acquires the graph (reloading it if evicted), runs the fully

@@ -71,12 +71,9 @@ func New(n int, pairs []Pair) (*Graph, error) {
 	if n > MaxVertices {
 		return nil, fmt.Errorf("uncertain: vertex count %d exceeds %d", n, MaxVertices)
 	}
-	seen := make(map[int64]struct{}, len(pairs))
-	pairU := make([]int32, 0, len(pairs))
-	pairV := make([]int32, 0, len(pairs))
-	pairP := make([]float64, 0, len(pairs))
-	incOff := make([]int64, n+1)
-	for _, pr := range pairs {
+	m := len(pairs)
+	c := Columns{PairU: make([]int32, m), PairV: make([]int32, m), PairP: make([]float64, m)}
+	for i, pr := range pairs {
 		if pr.U == pr.V {
 			return nil, fmt.Errorf("uncertain: self-loop at vertex %d", pr.U)
 		}
@@ -86,33 +83,72 @@ func New(n int, pairs []Pair) (*Graph, error) {
 		if !(pr.P >= 0 && pr.P <= 1) {
 			return nil, fmt.Errorf("uncertain: probability %v of pair (%d,%d) outside [0,1]", pr.P, pr.U, pr.V)
 		}
-		key := graph.PairKey(pr.U, pr.V, n)
-		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("uncertain: duplicate pair (%d,%d)", pr.U, pr.V)
-		}
-		seen[key] = struct{}{}
 		if pr.U > pr.V {
 			pr.U, pr.V = pr.V, pr.U
 		}
-		pairU = append(pairU, int32(pr.U))
-		pairV = append(pairV, int32(pr.V))
-		pairP = append(pairP, pr.P)
-		incOff[pr.U+1]++
-		incOff[pr.V+1]++
+		c.PairU[i], c.PairV[i], c.PairP[i] = int32(pr.U), int32(pr.V), pr.P
+	}
+	g := Assemble(n, c)
+	if i := g.duplicatePair(); i >= 0 {
+		return nil, fmt.Errorf("uncertain: duplicate pair (%d,%d)", g.pairU[i], g.pairV[i])
+	}
+	return g, nil
+}
+
+// Assemble adopts candidate columns c.PairU/PairV/PairP that are
+// already valid — endpoints in [0, n) with PairU[i] < PairV[i],
+// probabilities in [0, 1], no pair listed twice — and builds their CSR
+// incident index into c.IncOff and c.IncIdx, whose contents are ignored
+// and whose capacity is reused. It checks none of those invariants: New
+// is the validating entry point, and callers that guarantee them by
+// construction (the obfuscation engine's candidate table cannot produce
+// a duplicate) call Assemble to skip the checks and reuse buffers.
+func Assemble(n int, c Columns) *Graph {
+	m := len(c.PairP)
+	incOff := slices.Grow(c.IncOff[:0], n+1)[:n+1]
+	clear(incOff)
+	for i := 0; i < m; i++ {
+		incOff[c.PairU[i]+1]++
+		incOff[c.PairV[i]+1]++
 	}
 	for v := 0; v < n; v++ {
 		incOff[v+1] += incOff[v]
 	}
-	incIdx := make([]int32, 2*len(pairU))
-	fill := make([]int64, n)
-	for i := range pairU {
-		u, v := pairU[i], pairV[i]
-		incIdx[incOff[u]+fill[u]] = int32(i)
-		fill[u]++
-		incIdx[incOff[v]+fill[v]] = int32(i)
-		fill[v]++
+	// Fill with incOff[v] as v's cursor, which leaves it at v's end —
+	// the start of v+1 — then shift the offsets back into place.
+	incIdx := slices.Grow(c.IncIdx[:0], 2*m)[:2*m]
+	for i := 0; i < m; i++ {
+		u, v := c.PairU[i], c.PairV[i]
+		incIdx[incOff[u]] = int32(i)
+		incOff[u]++
+		incIdx[incOff[v]] = int32(i)
+		incOff[v]++
 	}
-	return &Graph{n: n, pairU: pairU, pairV: pairV, pairP: pairP, incOff: incOff, incIdx: incIdx}, nil
+	copy(incOff[1:], incOff[:n])
+	incOff[0] = 0
+	return &Graph{n: n, pairU: c.PairU, pairV: c.PairV, pairP: c.PairP, incOff: incOff, incIdx: incIdx}
+}
+
+// duplicatePair returns the index of a pair listed twice, or -1. Each
+// vertex stamps the far endpoints of its incident pairs into one
+// per-vertex mark array; a far endpoint already stamped by the same
+// vertex is a repeated pair.
+func (g *Graph) duplicatePair() int {
+	mark := make([]int32, g.n)
+	for v := 0; v < g.n; v++ {
+		stamp := int32(v + 1)
+		for _, idx := range g.Incident(v) {
+			w := g.pairV[idx]
+			if int(w) == v {
+				w = g.pairU[idx]
+			}
+			if mark[w] == stamp {
+				return int(idx)
+			}
+			mark[w] = stamp
+		}
+	}
+	return -1
 }
 
 // FromCertain lifts a deterministic graph into an uncertain graph whose
@@ -240,15 +276,6 @@ func (g *Graph) ExpectedAverageDegree() float64 {
 // selects pbinom.DefaultExactThreshold).
 func (g *Graph) DegreeDist(v int, threshold int) pbinom.Dist {
 	return pbinom.New(g.IncidentProbs(v), threshold)
-}
-
-// DegreeDistBuf is DegreeDist evaluated through a caller-owned
-// probability buffer: the incident probabilities are written into
-// buf[:0] and the (possibly grown) buffer is returned for the next
-// call. pbinom does not retain the slice.
-func (g *Graph) DegreeDistBuf(v int, threshold int, buf []float64) (pbinom.Dist, []float64) {
-	buf = g.AppendIncidentProbs(buf[:0], v)
-	return pbinom.New(buf, threshold), buf
 }
 
 // SampleWorld draws one possible world W ~ Pr(W) by materializing each

@@ -41,11 +41,64 @@ func TestNewValidation(t *testing.T) {
 		{"bad-prob-high", 3, []Pair{{0, 1, 1.5}}},
 		{"bad-prob-low", 3, []Pair{{0, 1, -0.1}}},
 		{"duplicate", 3, []Pair{{0, 1, 0.5}, {1, 0, 0.2}}},
+		{"duplicate-apart", 6, []Pair{{4, 5, 0.5}, {0, 1, 0.1}, {2, 5, 0.3}, {1, 3, 0.2}, {5, 4, 0.9}}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.n, c.pairs); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestAssembleReusesBuffersAndMatchesNew pins the shared CSR builder:
+// columns assembled into recycled, larger and dirty index buffers give
+// the same graph as New, and pass FromColumns's full validation.
+func TestAssembleReusesBuffersAndMatchesNew(t *testing.T) {
+	rng := randx.New(3)
+	var incOff []int64
+	var incIdx []int32
+	for _, n := range []int{200, 50, 120, 0} {
+		var c Columns
+		seen := map[int64]bool{}
+		for i := 0; n > 1 && i < 3*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v || seen[graph.PairKey(u, v, n)] {
+				continue
+			}
+			seen[graph.PairKey(u, v, n)] = true
+			c.PairU = append(c.PairU, int32(min(u, v)))
+			c.PairV = append(c.PairV, int32(max(u, v)))
+			c.PairP = append(c.PairP, rng.Float64())
+		}
+		pairs := make([]Pair, len(c.PairP))
+		for i := range pairs {
+			pairs[i] = Pair{U: int(c.PairV[i]), V: int(c.PairU[i]), P: c.PairP[i]}
+		}
+		want, err := New(n, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range incIdx {
+			incIdx[i] = -7 // stale contents must not leak into the index
+		}
+		c.IncOff, c.IncIdx = incOff, incIdx
+		got := Assemble(n, c)
+		if _, err := FromColumns(n, got.Columns(), 0); err != nil {
+			t.Fatalf("n=%d: assembled graph fails validation: %v", n, err)
+		}
+		for v := 0; v < n; v++ {
+			a, b := got.Incident(v), want.Incident(v)
+			if len(a) != len(b) {
+				t.Fatalf("n=%d vertex %d: %d incident pairs, New has %d", n, v, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("n=%d vertex %d: incident %v, New has %v", n, v, a, b)
+				}
+			}
+		}
+		cols := got.Columns()
+		incOff, incIdx = cols.IncOff, cols.IncIdx
 	}
 }
 
